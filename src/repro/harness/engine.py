@@ -46,6 +46,7 @@ import repro
 from repro.config import SystemConfig
 from repro.faults import FaultPlan
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.spark import storage as _storage
 
 #: Signature of the progress callback: ``fn(event)``.
 EventCallback = Callable[["EngineEvent"], None]
@@ -112,13 +113,16 @@ class ExperimentPoint:
         The dataset memo in :mod:`repro.workloads.datasets` needs no
         extra key material here: its cache key (scale, seed) is a pure
         function of ``(workload, scale, workload_kwargs)``, which this
-        payload already covers.
+        payload already covers.  The serialized tier is switched per
+        process (``REPRO_SERIALIZED_TIER``) rather than configured, and
+        it changes results, so its live setting is keyed too.
         """
         payload = {
             "code": code_version(),
             "config": self.config.to_dict(),
             "faults": self.faults.to_dict() if self.faults is not None else None,
             "scale": self.scale,
+            "serialized_tier": _storage.SERIALIZED_TIER,
             "trace": self.trace,
             "workload": self.workload,
             "workload_kwargs": dict(sorted(self.workload_kwargs.items())),

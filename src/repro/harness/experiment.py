@@ -140,6 +140,8 @@ def run_experiment(
         result.trace_events = session.events
     if injector is not None:
         result.fault_report = injector.report()
+    if not keep_context:
+        ctx.release()
     return result
 
 

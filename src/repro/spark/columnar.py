@@ -1,4 +1,4 @@
-"""Columnar whole-stage execution for the numeric workloads.
+"""Columnar whole-stage execution for the numeric and graph workloads.
 
 This module is the home of the data plane's fifth A/B switch,
 :data:`COLUMNAR_DATA_PLANE` (env ``REPRO_COLUMNAR_DATA_PLANE``, the
@@ -13,6 +13,15 @@ gradient becomes matrix–vector products, and ``reduce_by_key`` becomes
 a stable key grouping with per-segment ordered folds.  Shuffle
 bucketing over int-key columns is one vectorised ``& 0x7FFFFFFF`` /
 ``% n`` pass instead of a per-record loop.
+
+The graph workloads (PageRank, GraphX CC/SSSP) stay in batch form from
+the source partition to ``collect``: ``group_by_key`` packs adjacency
+into a CSR :class:`ListColumn` (offsets plus one flat int64 column),
+joins of unique-key batches match keys by sorting instead of building
+a dict, ``flat_map`` kernels expand vertex messages with
+``np.repeat``, and ``min`` folds keep each group's earliest minimum.
+These kernels engage above :data:`GRAPH_MIN_ROWS` rows, below which
+numpy's per-call overhead outweighs the per-record loop.
 
 The house rule is byte-identity: simulated time, GC logs, trace
 streams, bandwidth CSVs, fault checksums *and computed workload
@@ -172,6 +181,64 @@ class PairColumn:
         return PairColumn(self.first.select(idx), self.second.select(idx))
 
 
+class ListColumn:
+    """A column of int lists in CSR form: row ``i`` is
+    ``dst[offsets[i]:offsets[i + 1]]`` (``group_by_key``'s adjacency
+    lists).  ``offsets`` starts at 0 and ends at ``len(dst)``."""
+
+    __slots__ = ("offsets", "dst")
+
+    def __init__(self, offsets, dst) -> None:
+        self.offsets = offsets
+        self.dst = dst
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def tolist(self) -> list:
+        """The exact int lists this column packs, one fresh list per row."""
+        flat = self.dst.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def degrees(self):
+        """Each row's list length, as an int64 array."""
+        return _np.diff(self.offsets)
+
+    def select(self, idx) -> "ListColumn":
+        """Row subset by fancy index (order-preserving)."""
+        starts = self.offsets[:-1][idx]
+        deg = self.offsets[1:][idx] - starts
+        offsets = _np.zeros(len(deg) + 1, dtype=_np.int64)
+        _np.cumsum(deg, out=offsets[1:])
+        gather = _np.repeat(starts - offsets[:-1], deg)
+        gather += _np.arange(len(gather), dtype=_np.int64)
+        return ListColumn(offsets, self.dst[gather])
+
+
+class CogroupColumn:
+    """Unique-key cogroup output: row ``i`` is ``([first[i]],
+    [second[i]])``, the value shape of a two-sided cogroup in which
+    every key occurs once per side."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second) -> None:
+        self.first = first
+        self.second = second
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def tolist(self) -> list:
+        """The exact ``([a], [b])`` values this column packs."""
+        return [([a], [b]) for a, b in zip(self.first.tolist(), self.second.tolist())]
+
+    def select(self, idx) -> "CogroupColumn":
+        """Row subset by fancy index (order-preserving)."""
+        return CogroupColumn(self.first.select(idx), self.second.select(idx))
+
+
 def _concat_columns(cols: Sequence[Any]) -> Optional[Any]:
     """Concatenate compatible columns, or None when shapes/kinds mix."""
     head = cols[0]
@@ -190,12 +257,19 @@ def _concat_columns(cols: Sequence[Any]) -> Optional[Any]:
         if any(c.mat.shape[1] != head.mat.shape[1] for c in cols):
             return None
         return VecColumn(_np.concatenate([c.mat for c in cols]))
-    if t is PairColumn:
+    if t is PairColumn or t is CogroupColumn:
         first = _concat_columns([c.first for c in cols])
         second = _concat_columns([c.second for c in cols])
         if first is None or second is None:
             return None
-        return PairColumn(first, second)
+        return t(first, second)
+    if t is ListColumn:
+        shifts = _np.cumsum([0] + [len(c.dst) for c in cols[:-1]])
+        offsets = _np.concatenate(
+            [c.offsets[:-1] + s for c, s in zip(cols, shifts)]
+            + [_np.asarray([sum(len(c.dst) for c in cols)], dtype=_np.int64)]
+        )
+        return ListColumn(offsets, _np.concatenate([c.dst for c in cols]))
     return None
 
 
@@ -350,6 +424,7 @@ def _pack_value_column(values: list):
 #: returns a ColumnBatch (or None to decline, falling back per-record).
 _MAP_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _MAP_VALUES_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_FLAT_MAP_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _REDUCE_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -362,6 +437,14 @@ def register_map_kernel(fn: Callable, kernel: Callable) -> Callable:
 def register_map_values_kernel(fn: Callable, kernel: Callable) -> Callable:
     """Register a whole-batch kernel for a ``map_values`` UDF."""
     _MAP_VALUES_KERNELS[fn] = kernel
+    return fn
+
+
+def register_flat_map_kernel(fn: Callable, kernel: Callable) -> Callable:
+    """Register a whole-batch kernel for a ``flat_map`` UDF.  The kernel
+    must emit the flattened rows in the record plane's order: each
+    input row's outputs in the UDF's emission order, rows in turn."""
+    _FLAT_MAP_KERNELS[fn] = kernel
     return fn
 
 
@@ -404,6 +487,14 @@ def apply_map_batch(fn: Callable, records: Any):
     return kern(records)
 
 
+def apply_flat_map_batch(fn: Callable, records: Any):
+    """Run a registered flat_map kernel over a batch, or None to fall back."""
+    kern = _FLAT_MAP_KERNELS.get(fn)
+    if kern is None:
+        return None
+    return kern(records)
+
+
 # ---------------------------------------------------------------------------
 # grouped ordered folds (the reduce_by_key engine)
 # ---------------------------------------------------------------------------
@@ -425,17 +516,70 @@ def _group_structure(keys):
             _np.zeros(n, dtype=_np.intp),
             _np.zeros(1, dtype=_np.intp),
         )
+    pair = _int_pair(keys)
+    if pair is not None:
+        code = _pair_code(*pair)
+        if code is None:
+            return None
+        _codes, seg, first_pos = _group_structure(ScalarColumn(code))
+        return keys.select(first_pos), seg, first_pos
     if type(keys) is ScalarColumn and keys.is_int:
         arr = keys.arr
-        _uniq, first_idx, inv = _np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        order = _np.argsort(first_idx, kind="stable")
-        rank = _np.empty(len(order), dtype=_np.intp)
-        rank[order] = _np.arange(len(order), dtype=_np.intp)
-        first_pos = first_idx[order]
-        return ScalarColumn(arr[first_pos]), rank[inv.ravel()], first_pos
+        order = _stable_argsort(arr)
+        ordered = arr[order]
+        starts = _np.ones(len(arr), dtype=bool)
+        _np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        # The stable sort puts each key's first occurrence at its run start.
+        first_idx = order[starts]
+        by_first = _np.argsort(first_idx)  # distinct values: any sort kind
+        rank = _np.empty(len(by_first), dtype=_np.intp)
+        rank[by_first] = _np.arange(len(by_first), dtype=_np.intp)
+        seg = _np.empty(len(arr), dtype=_np.intp)
+        seg[order] = rank[_np.cumsum(starts) - 1]
+        first_pos = first_idx[by_first]
+        return ScalarColumn(arr[first_pos]), seg, first_pos
     return None
+
+
+def _int_pair(keys):
+    """The two int64 arrays of a 2-int-tuple key column, else None."""
+    if type(keys) is not PairColumn:
+        return None
+    first, second = int_array(keys.first), int_array(keys.second)
+    if first is None or second is None:
+        return None
+    return first, second
+
+
+def _pair_code(first, second):
+    """One int64 per ``(first, second)`` row, equal exactly when both
+    parts are (mixed radix over each part's span), or None when the
+    spans overflow int64."""
+    if len(first) == 0:
+        return first
+    lo1, lo2 = int(first.min()), int(second.min())
+    span1 = int(first.max()) - lo1 + 1
+    span2 = int(second.max()) - lo2 + 1
+    if span1 * span2 > _INT64_MAX:
+        return None
+    return (first - lo1) * span2 + (second - lo2)
+
+
+def _stable_argsort(arr):
+    """``np.argsort(arr, kind="stable")`` of an int array, via one plain
+    sort: ``(value - min) * n + position`` is unique per row, so any
+    sort of it is the stable order (several times faster than numpy's
+    stable sort on int64).  Spans too wide to pack take the stable sort.
+    """
+    n = len(arr)
+    if n > 1:
+        lo = int(arr.min())
+        if (int(arr.max()) - lo + 1) * n <= _INT64_MAX:
+            packed = (arr - lo) * n
+            packed += _np.arange(n)
+            packed.sort()
+            return packed % n
+    return _np.argsort(arr, kind="stable")
 
 
 def _ordered_grouped_sum(arr, seg, first_pos):
@@ -500,6 +644,42 @@ def make_vec_count_merge_kernel() -> Callable:
     return kernel
 
 
+def min_reduce_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """Grouped-fold kernel for ``min`` over int or float scalar values.
+
+    The dict fold keeps ``prev`` unless ``v < prev``, so each group ends
+    on its *earliest* minimal value.  ``np.minimum.at`` finds each
+    group's minimum, which is exact except for the sign of a zero
+    (``0.0 == -0.0``); groups whose minimum is zero take their first
+    zero instead, as the fold does.  NaN breaks the ``<`` order the
+    fold relies on, so batches holding one decline.
+    """
+    values = batch.values
+    if type(values) is not ScalarColumn:
+        return None
+    arr = values.arr
+    if not values.is_int and _np.isnan(arr).any():
+        return None
+    grouping = _group_structure(batch.keys)
+    if grouping is None:
+        return None
+    out_keys, seg, first_pos = grouping
+    out = arr[first_pos]
+    _np.minimum.at(out, seg, arr)
+    if not values.is_int:
+        zeros = _np.flatnonzero(arr == 0)
+        if len(zeros):
+            first_zero = _np.full(len(out), len(arr), dtype=_np.intp)
+            _np.minimum.at(first_zero, seg[zeros], zeros)
+            at_zero = out == 0
+            out[at_zero] = arr[first_zero[at_zero]]
+    return ColumnBatch(out_keys, ScalarColumn(out))
+
+
+# ``min`` is a builtin, so its kernel is registered here, beside it.
+register_reduce_kernel(min, min_reduce_kernel)
+
+
 def apply_reduce_kernel(fn: Callable, records: Any):
     """Grouped fold of a batch through ``fn``'s registered kernel.
 
@@ -512,6 +692,132 @@ def apply_reduce_kernel(fn: Callable, records: Any):
     if kern is None:
         return None
     return kern(records)
+
+
+# ---------------------------------------------------------------------------
+# graph plane: adjacency grouping and unique-key joins
+# ---------------------------------------------------------------------------
+
+#: Rows below which a partition stays on the per-record path instead of
+#: entering the graph plane (``distinct``'s pair keying, adjacency
+#: packing, the undirected-edge kernel).  Measured on CPython 3.11 /
+#: numpy 2.4 with the plane forced on and off (PR, CC and SSSP at scales
+#: 0.05-0.4, medians of 9-21 interleaved runs): CC breaks even near 200
+#: edges per partition, PR near 300 and SSSP between 375 and 450; below
+#: that the kernels' fixed per-call cost (a dozen numpy calls per
+#: partition and superstep) loses to the record loop, by up to 22% at
+#: 60-75 edges.  512 clears the slowest of the three and keeps the
+#: scale-0.1 and scale-0.02 cells on the record plane.  Only wall time
+#: depends on it.
+GRAPH_MIN_ROWS = 512
+
+
+def group_into_lists(records: Any) -> Optional[ColumnBatch]:
+    """``group_by_key`` over int ``(key, value)`` records as one CSR
+    batch, or None to fall back to the dict grouping.
+
+    Keys come out in first-occurrence order and each list keeps its
+    values in record order — a stable argsort of the group index —
+    so ``to_records()`` rebuilds the dict grouping's output exactly.
+    Plain record lists are packed only when the columnar plane is on
+    and the partition reaches :data:`GRAPH_MIN_ROWS`.
+    """
+    if len(records) < GRAPH_MIN_ROWS:
+        return None
+    if type(records) is ColumnBatch:
+        batch = records
+    elif columnar_active():
+        batch = ColumnBatch.from_records(records)
+        if batch is None:
+            return None
+    else:
+        return None
+    values = int_array(batch.values)
+    if values is None or int_array(batch.keys) is None:
+        return None
+    out_keys, seg, _first = _group_structure(batch.keys)
+    offsets = _np.zeros(len(out_keys) + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(seg, minlength=len(out_keys)), out=offsets[1:])
+    dst = values[_stable_argsort(seg)]
+    return ColumnBatch(out_keys, ListColumn(offsets, dst))
+
+
+def pair_key_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """``distinct``'s keying ``r -> (r, None)`` over int records: the
+    record becomes a 2-int tuple key column."""
+    if (
+        len(batch) < GRAPH_MIN_ROWS
+        or int_array(batch.keys) is None
+        or int_array(batch.values) is None
+    ):
+        return None
+    return ColumnBatch(
+        PairColumn(batch.keys, batch.values), ConstColumn(None, len(batch))
+    )
+
+
+def keep_first_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """Grouped-fold kernel for ``fn(a, b) = a``: each group's first row."""
+    grouping = _group_structure(batch.keys)
+    if grouping is None:
+        return None
+    out_keys, _seg, first_pos = grouping
+    return ColumnBatch(out_keys, batch.values.select(first_pos))
+
+
+def pair_unkey_kernel(batch: ColumnBatch) -> Optional[ColumnBatch]:
+    """``distinct``'s unkeying ``r -> r[0]`` of a tuple key column."""
+    if type(batch.keys) is not PairColumn:
+        return None
+    return ColumnBatch(batch.keys.first, batch.keys.second)
+
+
+def _has_duplicates(sorted_arr) -> bool:
+    return bool(len(sorted_arr) > 1 and (sorted_arr[1:] == sorted_arr[:-1]).any())
+
+
+def join_unique(left: Any, right: Any) -> Optional[ColumnBatch]:
+    """Inner two-sided cogroup of batches whose int keys are unique on
+    each side, or None to fall back to the dict cogroup.
+
+    The dict cogroup inserts side 0's keys first, so with unique keys
+    its inner output is side 0's rows, in order, that have a match on
+    side 1 — each valued ``([left], [right])`` (a
+    :class:`CogroupColumn`).  Matching is a sort of side 1's keys and
+    one ``searchsorted``.
+    """
+    if type(left) is not ColumnBatch or type(right) is not ColumnBatch:
+        return None
+    lk = int_array(left.keys)
+    rk = int_array(right.keys)
+    if lk is None or rk is None:
+        return None
+    r_order = _np.argsort(rk)
+    r_sorted = rk[r_order]
+    if _has_duplicates(r_sorted) or _has_duplicates(_np.sort(lk)):
+        return None
+    if len(rk) == 0:
+        idx_l = _np.zeros(0, dtype=_np.intp)
+        idx_r = idx_l
+    else:
+        pos = _np.searchsorted(r_sorted, lk)
+        pos[pos == len(rk)] = 0
+        idx_l = _np.flatnonzero(r_sorted[pos] == lk)
+        idx_r = r_order[pos[idx_l]]
+    if len(idx_l) == len(lk):
+        keys, lvals = left.keys, left.values
+    else:
+        keys, lvals = ScalarColumn(lk[idx_l]), left.values.select(idx_l)
+    return ColumnBatch(keys, CogroupColumn(lvals, right.values.select(idx_r)))
+
+
+def flatten_join(records: Any) -> Optional[ColumnBatch]:
+    """``join``'s flatten of a unique-key cogroup batch: row ``i``
+    becomes ``(key, (first[i], second[i]))``, or None to fall back."""
+    if type(records) is not ColumnBatch or type(records.values) is not CogroupColumn:
+        return None
+    values = records.values
+    return ColumnBatch(records.keys, PairColumn(values.first, values.second))
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +840,22 @@ def split_batch(batch: ColumnBatch, partitioner) -> Optional[list]:
     n = partitioner.num_partitions
     if type(keys) is ConstColumn:
         return [(partitioner.partition_of(keys.value), batch)]
-    if type(keys) is ScalarColumn and keys.is_int:
-        if n == 1:
-            return [(0, batch)]
-        bucket_of = (keys.arr & _MASK) % n
-        pieces = []
-        for bidx in _np.unique(bucket_of):
-            idx = _np.flatnonzero(bucket_of == bidx)
-            pieces.append((int(bidx), batch.select(idx)))
-        return pieces
-    return None
+    pair = _int_pair(keys)
+    if pair is not None:
+        # distinct()'s 2-int tuple keys: bucket_into's inlined tuple hash.
+        hashes = ((pair[0] & _MASK) * 1_000_003 + (pair[1] & _MASK)) & _MASK
+    elif type(keys) is ScalarColumn and keys.is_int:
+        hashes = keys.arr & _MASK
+    else:
+        return None
+    if n == 1:
+        return [(0, batch)]
+    bucket_of = hashes % n
+    pieces = []
+    for bidx in _np.unique(bucket_of):
+        idx = _np.flatnonzero(bucket_of == bidx)
+        pieces.append((int(bidx), batch.select(idx)))
+    return pieces
 
 
 def bucket_into_segments(partitioner, records, segments: List[list]) -> None:

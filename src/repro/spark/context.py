@@ -216,3 +216,17 @@ class SparkContext:
     def unpersist(self, rdd: RDD) -> None:
         """Release an RDD's persisted block."""
         self.block_manager.unpersist(rdd.id)
+
+    def release(self) -> None:
+        """Break the context's reference cycles after a finished run.
+
+        The scheduler, every registered RDD and an attached fault
+        injector point back at the context, so without this a run's
+        blocks, shuffle files and simulated heap wait for CPython's next
+        full collection instead of dying when the last outside
+        reference goes.  The context is unusable afterwards.
+        """
+        self._rdds.clear()
+        self._sources.clear()
+        self.scheduler.ctx = None
+        self.faults = None

@@ -414,7 +414,13 @@ def execute_program(
             else:
                 raise AnalysisError(f"unknown statement {type(stmt).__name__}")
 
-    run_block(program.body)
+    try:
+        run_block(program.body)
+    finally:
+        # Both helpers recurse through their own closure cells, a cycle
+        # that would hold ``ctx`` until a full collection; emptying the
+        # cells lets a finished run's state die by reference counting.
+        del eval_expr, run_block
     return results
 
 

@@ -171,6 +171,11 @@ class RDD:
     ) -> "RDD":
         """Apply ``fn`` to each record and flatten the results."""
         def apply_flat_map(records: List[Record]) -> List[Record]:
+            if _columnar.is_batch(records):
+                out = _columnar.apply_flat_map_batch(fn, records)
+                if out is not None:
+                    return out
+                records = records.to_records()
             return list(
                 itertools.chain.from_iterable(map(fn, records))
             )
@@ -274,6 +279,9 @@ class RDD:
         partitioner = self._default_partitioner(num_partitions)
 
         def group(records: List[Record]) -> List[Record]:
+            packed = _columnar.group_into_lists(records)
+            if packed is not None:
+                return packed
             grouped: dict = {}
             if _partition.LEGACY_DATA_PLANE:
                 for k, v in records:
@@ -336,9 +344,9 @@ class RDD:
 
     def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
         """Remove duplicate records (wide)."""
-        keyed = self.map(lambda r: (r, None), name="distinct-key")
-        deduped = keyed.reduce_by_key(lambda a, b: a, num_partitions, name="distinct")
-        return deduped.map(lambda r: r[0], name="distinct-unkey")
+        keyed = self.map(_distinct_key, name="distinct-key")
+        deduped = keyed.reduce_by_key(_keep_first, num_partitions, name="distinct")
+        return deduped.map(_distinct_unkey, name="distinct-unkey")
 
     def aggregate_by_key(
         self,
@@ -463,6 +471,9 @@ class RDD:
         cogrouped = CoGroupedRDD(self.ctx, [self, other], partitioner, name="cogroup")
 
         def flatten(records: List[Record]) -> List[Record]:
+            flat = _columnar.flatten_join(records)
+            if flat is not None:
+                return flat
             out: List[Record] = []
             for k, (left, right) in records:
                 for lv in left:
@@ -529,6 +540,23 @@ class RDD:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}[{self.id}] {self.name}>"
+
+
+def _distinct_key(record: Record) -> Record:
+    return (record, None)
+
+
+def _keep_first(a: Any, b: Any) -> Any:
+    return a
+
+
+def _distinct_unkey(record: Record) -> Any:
+    return record[0]
+
+
+_columnar.register_map_kernel(_distinct_key, _columnar.pair_key_kernel)
+_columnar.register_reduce_kernel(_keep_first, _columnar.keep_first_kernel)
+_columnar.register_map_kernel(_distinct_unkey, _columnar.pair_unkey_kernel)
 
 
 class SourceRDD(RDD):
@@ -712,6 +740,11 @@ class CoGroupedRDD(RDD):
                 sides.append(task.fetch_shuffle(dep, pidx))
             else:
                 sides.append(task.get_records(dep.parent, pidx))
+        if self.inner and len(sides) == 2:
+            joined = _columnar.join_unique(sides[0], sides[1])
+            if joined is not None:
+                task.charge_cogroup(self, sides, joined)
+                return joined
         grouped: dict = {}
         if _partition.LEGACY_DATA_PLANE:
             for side_idx, side in enumerate(sides):

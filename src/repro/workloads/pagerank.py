@@ -17,6 +17,11 @@ from repro.spark.program import Program
 from repro.spark.storage import StorageLevel
 from repro.workloads.datasets import DatasetSpec, pagerank_graph
 
+try:  # the kernels run only on column batches, which need numpy
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
+
 DAMPING = 0.85
 
 
@@ -40,6 +45,24 @@ def _contribs_record(record):
     return [(url, rank / size) for url in urls]
 
 
+def _contribs_kernel(batch):
+    values = batch.values
+    if type(values) is not _columnar.PairColumn:
+        return None
+    urls = values.first
+    ranks = _columnar.float_array(values.second)
+    if type(urls) is not _columnar.ListColumn or ranks is None:
+        return None
+    deg = urls.degrees()
+    # rank / max(1, len(urls)): one correctly-rounded float64 division
+    # per vertex (the int degree converts exactly), repeated per edge.
+    shares = ranks / _np.maximum(deg, 1)
+    return _columnar.ColumnBatch(
+        _columnar.int_column(urls.dst),
+        _columnar.float_column(_np.repeat(shares, deg)),
+    )
+
+
 def _edge(record):
     """(src, dst) -> (src, dst): identity over the 2-tuple edge records
     (named so the columnar plane can register a whole-batch kernel)."""
@@ -48,6 +71,16 @@ def _edge(record):
 
 def _add(a, b):
     return a + b
+
+
+def _initial_rank(_):
+    return 1.0
+
+
+def _initial_rank_kernel(batch):
+    return _columnar.ColumnBatch(
+        batch.keys, _columnar.float_column(_np.ones(len(batch)))
+    )
 
 
 def _damp(s):
@@ -70,6 +103,8 @@ _columnar.register_reduce_kernel(
     _add, _columnar.make_scalar_add_reduce_kernel()
 )
 _columnar.register_map_values_kernel(_damp, _damp_kernel)
+_columnar.register_map_values_kernel(_initial_rank, _initial_rank_kernel)
+_columnar.register_flat_map_kernel(_contribs_record, _contribs_kernel)
 
 
 def build_pagerank(
@@ -98,7 +133,7 @@ def build_pagerank(
         .group_by_key(size_factor=fanout)
         .persist(StorageLevel.MEMORY_ONLY),
     )
-    ranks = p.let("ranks", links.map_values(lambda _: 1.0, size_factor=0.1))
+    ranks = p.let("ranks", links.map_values(_initial_rank, size_factor=0.1))
     with p.loop(iterations):
         contribs = p.let(
             "contribs",

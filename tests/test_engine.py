@@ -1,6 +1,10 @@
 """The parallel experiment engine: determinism, caching, events, CLI."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +112,48 @@ class TestResultCache:
         changed.run([_point(nursery_fraction=0.25)])
         assert changed.stats.executed == 1
         assert changed.stats.cached == 0
+
+    def test_serialized_tier_setting_is_keyed(self, tmp_path):
+        """A result computed with the serialized tier on is never served
+        to a process running with it off: the tier is read from
+        ``REPRO_SERIALIZED_TIER`` at import and changes KM's simulated
+        time under ``MEMORY_ONLY_SER``."""
+        script = (
+            "import sys\n"
+            "from repro.config import PolicyName\n"
+            "from repro.harness.configs import paper_config\n"
+            "from repro.harness.engine import ExperimentEngine, ExperimentPoint\n"
+            "from repro.spark.storage import StorageLevel\n"
+            f"config = paper_config(64, 1 / 3, PolicyName.PANTHERA, {SCALE})\n"
+            f"point = ExperimentPoint('KM', config, {SCALE}, workload_kwargs="
+            "{'persist_level': StorageLevel.MEMORY_ONLY_SER})\n"
+            "engine = ExperimentEngine(jobs=1, cache_dir=sys.argv[1])\n"
+            "(result,) = engine.run([point])\n"
+            "print(engine.stats.cached, repr(result.elapsed_s))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+        def run(tier, cache_dir):
+            env = dict(
+                os.environ, PYTHONPATH=str(src), REPRO_SERIALIZED_TIER=tier
+            )
+            out = subprocess.run(
+                [sys.executable, "-W", "ignore", "-c", script, str(cache_dir)],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            cached, elapsed = out.stdout.split()
+            return int(cached), elapsed
+
+        shared = tmp_path / "shared"
+        tier_on = run("1", shared)
+        tier_off = run("0", shared)
+        cold_off = run("0", tmp_path / "cold")
+        assert tier_on[0] == tier_off[0] == 0
+        assert tier_off == cold_off
+        assert tier_off[1] != tier_on[1]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

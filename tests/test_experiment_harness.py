@@ -1,5 +1,8 @@
 """Harness tests: experiment runner, configurations and reports."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import PolicyName
@@ -63,6 +66,50 @@ class TestRunExperiment:
         )
         assert result.context is not None
         assert result.context.machine.elapsed_s == pytest.approx(result.elapsed_s)
+
+    @pytest.mark.parametrize(
+        "workload,policy,traced_faulted",
+        [
+            ("PR", PolicyName.PANTHERA, False),
+            ("CC", PolicyName.PANTHERA, True),
+            ("KM", PolicyName.DECA, False),
+            ("TC", PolicyName.UNMANAGED, True),
+        ],
+    )
+    def test_finished_context_dies_by_refcount(
+        self, monkeypatch, workload, policy, traced_faulted
+    ):
+        """Without keep_context a run's context (and with it every block,
+        shuffle file and simulated heap object) is freed when
+        run_experiment returns, with CPython's cyclic collector off."""
+        from repro.faults import FaultPlan, KillSpec
+        from repro.spark.context import SparkContext
+
+        created = []
+        create = SparkContext.create.__func__
+
+        def recording_create(cls, *args, **kwargs):
+            ctx = create(cls, *args, **kwargs)
+            created.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(SparkContext, "create", classmethod(recording_create))
+        config = paper_config(64, 1 / 3, policy, SCALE)
+        plan = FaultPlan(kills=[KillSpec("shuffle", 1, 0)], seed=7)
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(
+                workload,
+                config,
+                scale=SCALE,
+                trace=traced_faulted,
+                faults=plan if traced_faulted else None,
+            )
+            assert len(created) == 1
+            assert created[0]() is None
+        finally:
+            gc.enable()
 
     def test_energy_by_device_structure(self):
         result = quick_run()
